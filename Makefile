@@ -2,11 +2,11 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench bench-no-run bench-smoke recovery-smoke chaos-smoke session-smoke clippy fmt lint lint-baseline examples figures
+.PHONY: verify build test bench bench-no-run bench-smoke perfbench-smoke recovery-smoke chaos-smoke session-smoke clippy fmt lint lint-baseline examples figures
 
 EXAMPLES := $(basename $(notdir $(wildcard examples/*.rs)))
 
-verify: fmt build test clippy lint bench-no-run recovery-smoke chaos-smoke session-smoke examples
+verify: fmt build test clippy lint bench-no-run recovery-smoke chaos-smoke session-smoke perfbench-smoke examples
 
 build:
 	$(CARGO) build --release
@@ -37,6 +37,20 @@ bench-smoke:
 	$(CARGO) run -q --release -p kath_bench --bin compiled_bench -- --quick
 	$(CARGO) run -q --release -p kath_bench --bin fault_bench -- --quick
 	$(CARGO) run -q --release -p kath_bench --bin txn_bench -- --quick
+
+# Repository-benchmark smoke: one traced second of each NL workload
+# (perfbench/README.md). The traced replay asserts its result equals
+# KathDB::query's, so a passing run checks that results, lineage and token
+# bills stay identical end to end; it also keeps the standalone perfbench
+# package compiling against engine API changes. Fails unless the last
+# line reports "correct": true. perfbench refuses to run when any
+# KATHDB_* variable is set.
+perfbench-smoke:
+	for w in nl_cold nl_session; do \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 1 | tail -n 1); \
+		echo "$$w: $$last"; \
+		echo "$$last" | grep -q '"correct": true' || exit 1; \
+	done
 
 # Crash-recovery smoke: a child process populates a durable DB (WAL-logged
 # inserts around a checkpoint) and dies via abort(); the parent reopens and

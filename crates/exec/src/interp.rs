@@ -76,29 +76,25 @@ pub fn execute_body(
                 input,
                 output_name,
                 &[(output_column.as_str(), DataType::Any)],
-                |row, schema| {
+                |schema| {
                     let lowered = kath_sql::to_expr(&parsed, schema).map_err(|e| e.to_string())?;
-                    let v = lowered.eval(row, schema).map_err(|e| e.to_string())?;
-                    Ok(Some(vec![v]))
+                    Ok(move |row: &Row, schema: &Schema| {
+                        let v = lowered.eval(row, schema).map_err(|e| e.to_string())?;
+                        Ok(Some(vec![v]))
+                    })
                 },
             )
         }
         FunctionBody::FilterExpr { input, predicate } => {
             let parsed =
                 kath_sql::parse_expr(predicate).map_err(|e| ExecError::Expr(e.to_string()))?;
-            narrow_transform(
-                ctx,
-                func_id,
-                ver_id,
-                input,
-                output_name,
-                &[],
-                |row, schema| {
-                    let lowered = kath_sql::to_expr(&parsed, schema).map_err(|e| e.to_string())?;
+            narrow_transform(ctx, func_id, ver_id, input, output_name, &[], |schema| {
+                let lowered = kath_sql::to_expr(&parsed, schema).map_err(|e| e.to_string())?;
+                Ok(move |row: &Row, schema: &Schema| {
                     let keep = lowered.eval(row, schema).map_err(|e| e.to_string())?;
                     Ok(if keep.is_truthy() { Some(vec![]) } else { None })
-                },
-            )
+                })
+            })
         }
         FunctionBody::ConceptScore {
             input,
@@ -106,7 +102,7 @@ pub fn execute_body(
             keywords,
             output_column,
         } => {
-            let llm = ctx.llm.clone();
+            let mut scorer = ctx.llm.concept_scorer(keywords);
             narrow_transform(
                 ctx,
                 func_id,
@@ -114,15 +110,15 @@ pub fn execute_body(
                 input,
                 output_name,
                 &[(output_column.as_str(), DataType::Float)],
-                |row, schema| {
-                    let idx = schema
-                        .index_of(text_column)
-                        .ok_or_else(|| format!("unknown column '{text_column}'"))?;
-                    let score = match row[idx].as_str() {
-                        Some(text) => llm.concept_score(text, keywords),
-                        None => 0.0,
-                    };
-                    Ok(Some(vec![Value::Float(score)]))
+                |schema| {
+                    let idx = column_index(schema, text_column)?;
+                    Ok(move |row: &Row, _: &Schema| {
+                        let score = match row[idx].as_str() {
+                            Some(text) => scorer.score(text),
+                            None => 0.0,
+                        };
+                        Ok(Some(vec![Value::Float(score)]))
+                    })
                 },
             )
         }
@@ -146,24 +142,24 @@ pub fn execute_body(
                 input,
                 output_name,
                 &[(output_column.as_str(), DataType::Bool)],
-                move |row, schema| {
-                    let idx = schema
-                        .index_of(uri_column)
-                        .ok_or_else(|| format!("unknown column '{uri_column}'"))?;
-                    let uri = row[idx]
-                        .as_str()
-                        .ok_or_else(|| format!("NULL media uri in '{uri_column}'"))?;
-                    let image = media.image(uri).map_err(|e| e.to_string())?;
-                    let decoded: Image;
-                    let image = if !image.format.is_supported() && convert {
-                        decoded = image.convert_to(MediaFormat::Png);
-                        &decoded
-                    } else {
-                        image
-                    };
-                    let interest =
-                        visual_interest(image, implementation, &llm).map_err(|e| e.to_string())?;
-                    Ok(Some(vec![Value::Bool(interest <= threshold)]))
+                |schema| {
+                    let idx = column_index(schema, uri_column)?;
+                    Ok(move |row: &Row, _: &Schema| {
+                        let uri = row[idx]
+                            .as_str()
+                            .ok_or_else(|| format!("NULL media uri in '{uri_column}'"))?;
+                        let image = media.image(uri).map_err(|e| e.to_string())?;
+                        let decoded: Image;
+                        let image = if !image.format.is_supported() && convert {
+                            decoded = image.convert_to(MediaFormat::Png);
+                            &decoded
+                        } else {
+                            image
+                        };
+                        let interest = visual_interest(image, implementation, &llm)
+                            .map_err(|e| e.to_string())?;
+                        Ok(Some(vec![Value::Bool(interest <= threshold)]))
+                    })
                 },
             )
         }
@@ -327,16 +323,32 @@ fn dedup_by_key(table: &Table, key: &str) -> Result<Table, ExecError> {
     Ok(out)
 }
 
+/// Resolves a body's named column, with the message a failed row carries.
+fn column_index(schema: &Schema, name: &str) -> Result<usize, String> {
+    schema
+        .index_of(name)
+        .ok_or_else(|| format!("unknown column '{name}'"))
+}
+
 /// Shared implementation of narrow (row-level) transforms.
-fn narrow_transform(
+///
+/// `prepare` runs once per execution, before the first row: it does the
+/// row-invariant work that needs the input schema (lowering expressions,
+/// resolving columns) and returns the per-row kernel. If it fails, every input row
+/// fails with its message, exactly as if each row had hit the error itself;
+/// an empty input fails no rows.
+fn narrow_transform<K>(
     ctx: &mut ExecContext,
     func_id: &str,
     ver_id: u32,
     input: &str,
     output_name: &str,
     new_columns: &[(&str, DataType)],
-    mut row_fn: impl FnMut(&Row, &Schema) -> Result<Option<Vec<Value>>, String>,
-) -> Result<ExecOutcome, ExecError> {
+    prepare: impl FnOnce(&Schema) -> Result<K, String>,
+) -> Result<ExecOutcome, ExecError>
+where
+    K: FnMut(&Row, &Schema) -> Result<Option<Vec<Value>>, String>,
+{
     let input_table = ctx.catalog.get(input)?;
     let in_schema = input_table.schema().clone();
     let lid_idx = in_schema.index_of("lid");
@@ -352,8 +364,13 @@ fn narrow_transform(
     let mut out = Table::new(output_name, out_schema);
     let mut failed_rows = Vec::new();
     let rows_in = input_table.len();
+    let mut kernel = prepare(&in_schema);
     for row in input_table.rows() {
-        match row_fn(row, &in_schema) {
+        let result = match &mut kernel {
+            Ok(row_fn) => row_fn(row, &in_schema),
+            Err(msg) => Err(msg.clone()),
+        };
+        match result {
             Err(msg) => {
                 let desc = row.iter().map(Value::render).collect::<Vec<_>>().join(", ");
                 failed_rows.push((desc, msg));
@@ -766,6 +783,53 @@ mod tests {
             .as_f64()
             .unwrap();
         assert!(s1 > s2 + 0.2, "exciting={s1} calm={s2}");
+    }
+
+    /// Row-invariant work runs once per body, but a failure there still
+    /// fails every input row with the message the row itself would have hit
+    /// — and an empty input still fails none (the monitor's repair loop
+    /// keys off `failed_rows`).
+    #[test]
+    fn body_preparation_failure_fails_every_row() {
+        let expr = "clamp01(missing_col / 2.0)";
+        let map = |input: &str| FunctionBody::MapExpr {
+            input: input.into(),
+            expr: expr.into(),
+            output_column: "score".into(),
+        };
+        let concept = |input: &str| FunctionBody::ConceptScore {
+            input: input.into(),
+            text_column: "plot".into(),
+            keywords: vec!["gun".into()],
+            output_column: "score".into(),
+        };
+        let mut c = ctx();
+        let schema = c.catalog.get("films").unwrap().schema().clone();
+        let lowering_error = kath_sql::to_expr(&kath_sql::parse_expr(expr).unwrap(), &schema)
+            .unwrap_err()
+            .to_string();
+        let empty = Table::new("no_films", schema);
+        c.ingest_table(empty, "file://data/none").unwrap();
+
+        for (body, message) in [
+            (map("films"), lowering_error),
+            (concept("films"), "unknown column 'plot'".to_string()),
+        ] {
+            let usage = c.llm.meter().usage();
+            let out = execute_body(&mut c, "f", 1, &body, "o").unwrap();
+            assert!(out.table.is_empty());
+            assert_eq!(out.rows_in, 3);
+            assert_eq!(out.failed_rows.len(), 3, "{body:?}");
+            for (i, (desc, msg)) in out.failed_rows.iter().enumerate() {
+                assert!(desc.starts_with(&format!("{}, ", i + 1)), "{desc}");
+                assert_eq!(msg, &message);
+            }
+            assert_eq!(c.llm.meter().usage(), usage, "a failed row charges nothing");
+        }
+        for body in [map("no_films"), concept("no_films")] {
+            let out = execute_body(&mut c, "f", 1, &body, "o").unwrap();
+            assert!(out.failed_rows.is_empty(), "{body:?}");
+        }
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! scoring direction) the critic/repair loops must catch (§4, §5).
 
 use crate::{KnowledgeBase, TokenMeter};
-use kath_vector::{cosine, fnv1a, TextEmbedder};
+use kath_vector::{
+    cosine_from_parts, dot, embed_tokens_with, fnv1a, l2_norm, Embedding, TextEmbedder, DIM,
+};
+use std::collections::HashMap;
 
 /// A clarification question raised by the reviewer agent (§5).
 #[derive(Debug, Clone, PartialEq)]
@@ -119,39 +122,30 @@ impl SimLlm {
     /// Scores how strongly `text` evokes the concept captured by `keywords`
     /// using embedding similarity, in `[0,1]`. This is the body of
     /// `gen_excitement_score` (§6 step 4): embed keywords, embed text
-    /// entities, aggregate similarity.
+    /// entities, aggregate similarity. Scoring many texts against the same
+    /// keywords should go through one [`SimLlm::concept_scorer`].
     pub fn concept_score(&self, text: &str, keywords: &[String]) -> f64 {
-        if keywords.is_empty() || text.trim().is_empty() {
-            self.meter.charge(text, "0");
-            return 0.0;
+        self.concept_scorer(keywords).score(text)
+    }
+
+    /// Prepares [`SimLlm::concept_score`] for one keyword list: the keywords
+    /// are embedded once, and token embeddings are memoized for the
+    /// scorer's lifetime. Preparing charges nothing; each
+    /// [`ConceptScorer::score`] charges the meter exactly as
+    /// `concept_score` does.
+    pub fn concept_scorer(&self, keywords: &[String]) -> ConceptScorer {
+        let mut scorer = ConceptScorer {
+            embedder: self.embedder.clone(),
+            meter: self.meter.clone(),
+            keywords: Vec::with_capacity(keywords.len()),
+            memo: HashMap::new(),
+        };
+        for k in keywords {
+            let v = scorer.embed(k);
+            let norm = l2_norm(&v);
+            scorer.keywords.push((v, norm));
         }
-        let kw_vecs: Vec<_> = keywords.iter().map(|k| self.embedder.embed(k)).collect();
-        // Per-sentence max similarity, averaged with a soft-max emphasis on
-        // the strongest scenes, then squashed to [0,1].
-        let sentences: Vec<&str> = text
-            .split(['.', '!', '?'])
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .collect();
-        let mut best: f64 = 0.0;
-        let mut sum: f64 = 0.0;
-        let mut n = 0usize;
-        for s in &sentences {
-            let sv = self.embedder.embed(s);
-            let m = kw_vecs
-                .iter()
-                .map(|kv| cosine(&sv, kv) as f64)
-                .fold(0.0f64, f64::max);
-            best = best.max(m);
-            sum += m;
-            n += 1;
-        }
-        let mean = if n == 0 { 0.0 } else { sum / n as f64 };
-        // 0.7·peak + 0.3·mean, clamped. Peaks matter: one gunfight makes a
-        // plot exciting even if the rest is quiet.
-        let score = (0.7 * best + 0.3 * mean).clamp(0.0, 1.0);
-        self.meter.charge(text, "score");
-        score
+        scorer
     }
 
     /// Critic pass over a score column (§4): checks that the produced scores
@@ -240,6 +234,72 @@ impl SimLlm {
     pub fn noise(&self, context: &str) -> f64 {
         let h = fnv1a(context.as_bytes()) ^ self.seed;
         (h >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// [`SimLlm::concept_score`] prepared for one keyword list (see
+/// [`SimLlm::concept_scorer`]). Scores are bit-identical to scoring each
+/// text on its own: the memo returns the very floats the embedder would
+/// recompute, sentence embeddings sum them in the same order, and cosines
+/// are assembled from the same dot products and norms.
+#[derive(Debug)]
+pub struct ConceptScorer {
+    embedder: TextEmbedder,
+    meter: TokenMeter,
+    /// Keyword embeddings with their norms.
+    keywords: Vec<(Embedding, f32)>,
+    /// Raw token → its embedding. Only looked up, never iterated.
+    memo: HashMap<String, [f32; DIM]>,
+}
+
+impl ConceptScorer {
+    /// Scores `text` against the prepared keywords, in `[0,1]`, and charges
+    /// one model call.
+    pub fn score(&mut self, text: &str) -> f64 {
+        if self.keywords.is_empty() || text.trim().is_empty() {
+            self.meter.charge(text, "0");
+            return 0.0;
+        }
+        // Per-sentence max similarity, averaged with a soft-max emphasis on
+        // the strongest scenes, then squashed to [0,1].
+        let mut best: f64 = 0.0;
+        let mut sum: f64 = 0.0;
+        let mut n = 0usize;
+        for s in text.split(['.', '!', '?']).map(str::trim) {
+            if s.is_empty() {
+                continue;
+            }
+            let sv = self.embed(s);
+            let sn = l2_norm(&sv);
+            let m = self
+                .keywords
+                .iter()
+                .map(|(kv, kn)| cosine_from_parts(dot(&sv, kv), sn, *kn) as f64)
+                .fold(0.0f64, f64::max);
+            best = best.max(m);
+            sum += m;
+            n += 1;
+        }
+        let mean = if n == 0 { 0.0 } else { sum / n as f64 };
+        // 0.7·peak + 0.3·mean, clamped. Peaks matter: one gunfight makes a
+        // plot exciting even if the rest is quiet.
+        let score = (0.7 * best + 0.3 * mean).clamp(0.0, 1.0);
+        self.meter.charge(text, "score");
+        score
+    }
+
+    /// [`TextEmbedder::embed`] through the token memo.
+    fn embed(&mut self, text: &str) -> Embedding {
+        let Self { embedder, memo, .. } = self;
+        embed_tokens_with(text, |token, out| match memo.get(token) {
+            Some(v) => out.copy_from_slice(v),
+            None => {
+                let mut v = [0.0; DIM];
+                embedder.embed_token_into(token, &mut v);
+                out.copy_from_slice(&v);
+                memo.insert(token.to_string(), v);
+            }
+        })
     }
 }
 

@@ -10,6 +10,9 @@
 //! "shootout") are mutually similar, unrelated words are not — while being
 //! fully deterministic and offline.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 /// Embedding dimensionality.
 pub const DIM: usize = 64;
 
@@ -29,27 +32,32 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Generates a unit vector pseudo-randomly from a seed (splitmix64 stream).
 pub fn seeded_unit_vector(seed: u64) -> Embedding {
-    let mut state = seed;
-    let mut v: Vec<f32> = (0..DIM)
-        .map(|_| {
-            // splitmix64 step
-            state = state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^= z >> 31;
-            // Map to roughly N(0,1) via sum of uniforms (CLT over 2 halves).
-            let u1 = (z >> 11) as f64 / (1u64 << 53) as f64;
-            (u1 - 0.5) as f32
-        })
-        .collect();
-    normalize(&mut v);
+    let mut v = vec![0.0; DIM];
+    seeded_unit_vector_into(seed, &mut v);
     v
+}
+
+/// [`seeded_unit_vector`] written into `out` (which must hold [`DIM`]
+/// components) without allocating.
+fn seeded_unit_vector_into(seed: u64, out: &mut [f32]) {
+    let mut state = seed;
+    for x in out.iter_mut() {
+        // splitmix64 step
+        state = state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^= z >> 31;
+        // Map to roughly N(0,1) via sum of uniforms (CLT over 2 halves).
+        let u1 = (z >> 11) as f64 / (1u64 << 53) as f64;
+        *x = (u1 - 0.5) as f32;
+    }
+    normalize(out);
 }
 
 /// Normalizes a vector in place; leaves the zero vector untouched.
 pub fn normalize(v: &mut [f32]) {
-    let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+    let norm = crate::sim::l2_norm(v);
     if norm > 0.0 {
         for x in v.iter_mut() {
             *x /= norm;
@@ -107,20 +115,46 @@ impl Lexicon {
 }
 
 /// The lexicon-clustered text embedder.
+///
+/// Cloning is cheap: the lexicon, its term index and the concept centroids
+/// are built once in [`TextEmbedder::new`] and shared behind an `Arc`.
 #[derive(Debug, Clone)]
 pub struct TextEmbedder {
-    lexicon: Lexicon,
+    prepared: Arc<PreparedLexicon>,
     /// How strongly lexicon terms are pulled to their concept centroid.
     cluster_strength: f32,
     /// Base seed separating unrelated embedder instances.
     seed: u64,
 }
 
+/// The lexicon with its per-seed lookup structures.
+#[derive(Debug)]
+struct PreparedLexicon {
+    lexicon: Lexicon,
+    /// Lowercase term → index of the first concept listing it, the concept
+    /// [`Lexicon::concept_of`] resolves.
+    concept_of_term: HashMap<String, usize>,
+    /// Centroid of each concept, in lexicon order.
+    centroids: Vec<Embedding>,
+}
+
 impl TextEmbedder {
     /// Builds an embedder over `lexicon`.
     pub fn new(lexicon: Lexicon, seed: u64) -> Self {
+        let mut concept_of_term = HashMap::new();
+        let mut centroids = Vec::with_capacity(lexicon.concepts.len());
+        for (i, (name, terms)) in lexicon.concepts.iter().enumerate() {
+            for t in terms {
+                concept_of_term.entry(t.clone()).or_insert(i);
+            }
+            centroids.push(seeded_unit_vector(seed ^ fnv1a(name.as_bytes()) ^ 0xC0FFEE));
+        }
         Self {
-            lexicon,
+            prepared: Arc::new(PreparedLexicon {
+                lexicon,
+                concept_of_term,
+                centroids,
+            }),
             cluster_strength: 0.85,
             seed,
         }
@@ -128,48 +162,63 @@ impl TextEmbedder {
 
     /// Embeds one token.
     pub fn embed_token(&self, token: &str) -> Embedding {
+        let mut v = vec![0.0; DIM];
+        self.embed_token_into(token, &mut v);
+        v
+    }
+
+    /// [`TextEmbedder::embed_token`] written into `out` (which must hold
+    /// [`DIM`] components) without allocating.
+    pub fn embed_token_into(&self, token: &str, out: &mut [f32]) {
+        // Lexicon terms are stored lowercase and lowercasing is idempotent,
+        // so one lowercase serves both the hash and the lookup.
         let t = token.to_lowercase();
-        let noise = seeded_unit_vector(self.seed ^ fnv1a(t.as_bytes()));
-        match self.lexicon.concept_of(&t) {
-            None => noise,
-            Some(concept) => {
-                let centroid = seeded_unit_vector(self.seed ^ fnv1a(concept.as_bytes()) ^ 0xC0FFEE);
-                let a = self.cluster_strength;
-                let mut v: Vec<f32> = centroid
-                    .iter()
-                    .zip(&noise)
-                    .map(|(c, n)| a * c + (1.0 - a) * n)
-                    .collect();
-                normalize(&mut v);
-                v
+        seeded_unit_vector_into(self.seed ^ fnv1a(t.as_bytes()), out);
+        if let Some(&concept) = self.prepared.concept_of_term.get(&t) {
+            let centroid = &self.prepared.centroids[concept];
+            let a = self.cluster_strength;
+            for (n, c) in out.iter_mut().zip(centroid) {
+                *n = a * c + (1.0 - a) * *n;
             }
+            normalize(out);
         }
     }
 
     /// Embeds a phrase as the normalized mean of token embeddings.
     /// Empty/whitespace input embeds to the zero vector.
     pub fn embed(&self, text: &str) -> Embedding {
-        let tokens: Vec<&str> = text
-            .split(|c: char| !c.is_alphanumeric())
-            .filter(|t| !t.is_empty())
-            .collect();
-        if tokens.is_empty() {
-            return vec![0.0; DIM];
-        }
-        let mut acc = vec![0.0f32; DIM];
-        for t in &tokens {
-            for (a, b) in acc.iter_mut().zip(self.embed_token(t)) {
-                *a += b;
-            }
-        }
-        normalize(&mut acc);
-        acc
+        embed_tokens_with(text, |t, out| self.embed_token_into(t, out))
     }
 
     /// The lexicon in use.
     pub fn lexicon(&self) -> &Lexicon {
-        &self.lexicon
+        &self.prepared.lexicon
     }
+}
+
+/// The tokens [`TextEmbedder::embed`] averages: maximal alphanumeric runs.
+fn tokens(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !c.is_alphanumeric())
+        .filter(|t| !t.is_empty())
+}
+
+/// The normalized mean of `text`'s token embeddings, where `token_into`
+/// writes one token's embedding into the buffer it is given. With
+/// [`TextEmbedder::embed_token_into`] this is [`TextEmbedder::embed`];
+/// callers that memoize token embeddings pass their own lookup and get the
+/// same floats summed in the same order.
+pub fn embed_tokens_with(text: &str, mut token_into: impl FnMut(&str, &mut [f32])) -> Embedding {
+    let mut acc = vec![0.0f32; DIM];
+    let mut buf = [0.0f32; DIM];
+    for t in tokens(text) {
+        token_into(t, &mut buf);
+        for (a, b) in acc.iter_mut().zip(&buf) {
+            *a += b;
+        }
+    }
+    // No tokens leaves `acc` zero, which `normalize` leaves untouched.
+    normalize(&mut acc);
+    acc
 }
 
 /// Seed of the canonical shared embedder behind [`embed_query`]. One fixed
