@@ -102,7 +102,7 @@ pub fn execute_body(
             keywords,
             output_column,
         } => {
-            let mut scorer = ctx.llm.concept_scorer(keywords);
+            let scorer = ctx.llm.concept_scorer(keywords);
             narrow_transform(
                 ctx,
                 func_id,

@@ -7,10 +7,7 @@
 //! scoring direction) the critic/repair loops must catch (§4, §5).
 
 use crate::{KnowledgeBase, TokenMeter};
-use kath_vector::{
-    cosine_from_parts, dot, embed_tokens_with, fnv1a, l2_norm, Embedding, TextEmbedder, DIM,
-};
-use std::collections::HashMap;
+use kath_vector::{cosine, fnv1a, Embedding, TextEmbedder};
 
 /// A clarification question raised by the reviewer agent (§5).
 #[derive(Debug, Clone, PartialEq)]
@@ -129,23 +126,15 @@ impl SimLlm {
     }
 
     /// Prepares [`SimLlm::concept_score`] for one keyword list: the keywords
-    /// are embedded once, and token embeddings are memoized for the
-    /// scorer's lifetime. Preparing charges nothing; each
+    /// are embedded once. Preparing charges nothing; each
     /// [`ConceptScorer::score`] charges the meter exactly as
     /// `concept_score` does.
     pub fn concept_scorer(&self, keywords: &[String]) -> ConceptScorer {
-        let mut scorer = ConceptScorer {
+        ConceptScorer {
+            keywords: keywords.iter().map(|k| self.embedder.embed(k)).collect(),
             embedder: self.embedder.clone(),
             meter: self.meter.clone(),
-            keywords: Vec::with_capacity(keywords.len()),
-            memo: HashMap::new(),
-        };
-        for k in keywords {
-            let v = scorer.embed(k);
-            let norm = l2_norm(&v);
-            scorer.keywords.push((v, norm));
         }
-        scorer
     }
 
     /// Critic pass over a score column (§4): checks that the produced scores
@@ -239,23 +228,19 @@ impl SimLlm {
 
 /// [`SimLlm::concept_score`] prepared for one keyword list (see
 /// [`SimLlm::concept_scorer`]). Scores are bit-identical to scoring each
-/// text on its own: the memo returns the very floats the embedder would
-/// recompute, sentence embeddings sum them in the same order, and cosines
-/// are assembled from the same dot products and norms.
+/// text on its own: the keyword embeddings are the ones `concept_score`
+/// would compute for every text.
 #[derive(Debug)]
 pub struct ConceptScorer {
     embedder: TextEmbedder,
     meter: TokenMeter,
-    /// Keyword embeddings with their norms.
-    keywords: Vec<(Embedding, f32)>,
-    /// Raw token → its embedding. Only looked up, never iterated.
-    memo: HashMap<String, [f32; DIM]>,
+    keywords: Vec<Embedding>,
 }
 
 impl ConceptScorer {
     /// Scores `text` against the prepared keywords, in `[0,1]`, and charges
     /// one model call.
-    pub fn score(&mut self, text: &str) -> f64 {
+    pub fn score(&self, text: &str) -> f64 {
         if self.keywords.is_empty() || text.trim().is_empty() {
             self.meter.charge(text, "0");
             return 0.0;
@@ -269,12 +254,11 @@ impl ConceptScorer {
             if s.is_empty() {
                 continue;
             }
-            let sv = self.embed(s);
-            let sn = l2_norm(&sv);
+            let sv = self.embedder.embed(s);
             let m = self
                 .keywords
                 .iter()
-                .map(|(kv, kn)| cosine_from_parts(dot(&sv, kv), sn, *kn) as f64)
+                .map(|kv| cosine(&sv, kv) as f64)
                 .fold(0.0f64, f64::max);
             best = best.max(m);
             sum += m;
@@ -286,20 +270,6 @@ impl ConceptScorer {
         let score = (0.7 * best + 0.3 * mean).clamp(0.0, 1.0);
         self.meter.charge(text, "score");
         score
-    }
-
-    /// [`TextEmbedder::embed`] through the token memo.
-    fn embed(&mut self, text: &str) -> Embedding {
-        let Self { embedder, memo, .. } = self;
-        embed_tokens_with(text, |token, out| match memo.get(token) {
-            Some(v) => out.copy_from_slice(v),
-            None => {
-                let mut v = [0.0; DIM];
-                embedder.embed_token_into(token, &mut v);
-                out.copy_from_slice(&v);
-                memo.insert(token.to_string(), v);
-            }
-        })
     }
 }
 

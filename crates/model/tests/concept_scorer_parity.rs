@@ -1,13 +1,14 @@
 //! Parity of the prepared concept scorer with the plain scoring formula.
 //!
-//! `ConceptScorer` embeds its keywords once and memoizes token embeddings
-//! across the texts it scores. Neither may change a bit: every score must
-//! equal, in `f64::to_bits`, the score computed from scratch for that text
-//! alone — per-sentence max cosine against freshly embedded keywords,
-//! `0.7·peak + 0.3·mean`, with token embeddings from the lexicon's linear
-//! `concept_of` scan and two freshly generated unit vectors — and the token
-//! meter must be charged exactly as that formula charges it. The reference
-//! is written out here in full and shares no code with the scorer.
+//! `ConceptScorer` embeds its keywords once for all the texts it scores,
+//! over the embedder's prebuilt lexicon index. Neither may change a bit:
+//! every score must equal, in `f64::to_bits`, the score computed afresh
+//! for that text alone — per-sentence max cosine against freshly
+//! embedded keywords, `0.7·peak + 0.3·mean`, with token embeddings from the
+//! lexicon's linear `concept_of` scan and two freshly generated unit
+//! vectors — and the token meter must be charged exactly as that formula
+//! charges it. The reference is written out here in full and shares no
+//! code with the scorer.
 
 use kath_model::{SimLlm, TokenMeter};
 use kath_vector::{fnv1a, Lexicon, DIM};
@@ -210,7 +211,7 @@ proptest! {
         let llm = SimLlm::new(seed, TokenMeter::new());
         let lexicon = llm.embedder().lexicon().clone();
         let reference_meter = TokenMeter::new();
-        let mut scorer = llm.concept_scorer(&keywords);
+        let scorer = llm.concept_scorer(&keywords);
         let one_shot = SimLlm::new(seed, TokenMeter::new());
         for (kind, parts) in &texts {
             let t = text(*kind, parts);

@@ -57,7 +57,7 @@ fn seeded_unit_vector_into(seed: u64, out: &mut [f32]) {
 
 /// Normalizes a vector in place; leaves the zero vector untouched.
 pub fn normalize(v: &mut [f32]) {
-    let norm = crate::sim::l2_norm(v);
+    let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
     if norm > 0.0 {
         for x in v.iter_mut() {
             *x /= norm;
@@ -116,46 +116,51 @@ impl Lexicon {
 
 /// The lexicon-clustered text embedder.
 ///
-/// Cloning is cheap: the lexicon, its term index and the concept centroids
-/// are built once in [`TextEmbedder::new`] and shared behind an `Arc`.
+/// Cloning is cheap: the lexicon and its term embeddings are built once in
+/// [`TextEmbedder::new`] and shared behind an `Arc`.
 #[derive(Debug, Clone)]
 pub struct TextEmbedder {
     prepared: Arc<PreparedLexicon>,
-    /// How strongly lexicon terms are pulled to their concept centroid.
-    cluster_strength: f32,
     /// Base seed separating unrelated embedder instances.
     seed: u64,
 }
 
-/// The lexicon with its per-seed lookup structures.
+/// The lexicon with the embedding of each of its terms.
 #[derive(Debug)]
 struct PreparedLexicon {
     lexicon: Lexicon,
-    /// Lowercase term → index of the first concept listing it, the concept
-    /// [`Lexicon::concept_of`] resolves.
-    concept_of_term: HashMap<String, usize>,
-    /// Centroid of each concept, in lexicon order.
-    centroids: Vec<Embedding>,
+    /// Lowercase term → its embedding, pulled toward the centroid of the
+    /// first concept listing it (the concept [`Lexicon::concept_of`]
+    /// resolves).
+    term_embeddings: HashMap<String, Embedding>,
 }
+
+/// How strongly lexicon terms are pulled to their concept centroid.
+const CLUSTER_STRENGTH: f32 = 0.85;
 
 impl TextEmbedder {
     /// Builds an embedder over `lexicon`.
     pub fn new(lexicon: Lexicon, seed: u64) -> Self {
-        let mut concept_of_term = HashMap::new();
-        let mut centroids = Vec::with_capacity(lexicon.concepts.len());
-        for (i, (name, terms)) in lexicon.concepts.iter().enumerate() {
+        let mut term_embeddings = HashMap::new();
+        for (name, terms) in &lexicon.concepts {
+            let centroid = seeded_unit_vector(seed ^ fnv1a(name.as_bytes()) ^ 0xC0FFEE);
             for t in terms {
-                concept_of_term.entry(t.clone()).or_insert(i);
+                term_embeddings.entry(t.clone()).or_insert_with(|| {
+                    let a = CLUSTER_STRENGTH;
+                    let mut v = seeded_unit_vector(seed ^ fnv1a(t.as_bytes()));
+                    for (n, c) in v.iter_mut().zip(&centroid) {
+                        *n = a * c + (1.0 - a) * *n;
+                    }
+                    normalize(&mut v);
+                    v
+                });
             }
-            centroids.push(seeded_unit_vector(seed ^ fnv1a(name.as_bytes()) ^ 0xC0FFEE));
         }
         Self {
             prepared: Arc::new(PreparedLexicon {
                 lexicon,
-                concept_of_term,
-                centroids,
+                term_embeddings,
             }),
-            cluster_strength: 0.85,
             seed,
         }
     }
@@ -169,56 +174,39 @@ impl TextEmbedder {
 
     /// [`TextEmbedder::embed_token`] written into `out` (which must hold
     /// [`DIM`] components) without allocating.
-    pub fn embed_token_into(&self, token: &str, out: &mut [f32]) {
+    fn embed_token_into(&self, token: &str, out: &mut [f32]) {
         // Lexicon terms are stored lowercase and lowercasing is idempotent,
-        // so one lowercase serves both the hash and the lookup.
+        // so one lowercase serves both the lookup and the hash.
         let t = token.to_lowercase();
-        seeded_unit_vector_into(self.seed ^ fnv1a(t.as_bytes()), out);
-        if let Some(&concept) = self.prepared.concept_of_term.get(&t) {
-            let centroid = &self.prepared.centroids[concept];
-            let a = self.cluster_strength;
-            for (n, c) in out.iter_mut().zip(centroid) {
-                *n = a * c + (1.0 - a) * *n;
-            }
-            normalize(out);
+        match self.prepared.term_embeddings.get(&t) {
+            Some(v) => out.copy_from_slice(v),
+            None => seeded_unit_vector_into(self.seed ^ fnv1a(t.as_bytes()), out),
         }
     }
 
     /// Embeds a phrase as the normalized mean of token embeddings.
     /// Empty/whitespace input embeds to the zero vector.
     pub fn embed(&self, text: &str) -> Embedding {
-        embed_tokens_with(text, |t, out| self.embed_token_into(t, out))
+        let mut acc = vec![0.0f32; DIM];
+        let mut buf = [0.0f32; DIM];
+        for t in text
+            .split(|c: char| !c.is_alphanumeric())
+            .filter(|t| !t.is_empty())
+        {
+            self.embed_token_into(t, &mut buf);
+            for (a, b) in acc.iter_mut().zip(&buf) {
+                *a += b;
+            }
+        }
+        // No tokens leaves `acc` zero, which `normalize` leaves untouched.
+        normalize(&mut acc);
+        acc
     }
 
     /// The lexicon in use.
     pub fn lexicon(&self) -> &Lexicon {
         &self.prepared.lexicon
     }
-}
-
-/// The tokens [`TextEmbedder::embed`] averages: maximal alphanumeric runs.
-fn tokens(text: &str) -> impl Iterator<Item = &str> {
-    text.split(|c: char| !c.is_alphanumeric())
-        .filter(|t| !t.is_empty())
-}
-
-/// The normalized mean of `text`'s token embeddings, where `token_into`
-/// writes one token's embedding into the buffer it is given. With
-/// [`TextEmbedder::embed_token_into`] this is [`TextEmbedder::embed`];
-/// callers that memoize token embeddings pass their own lookup and get the
-/// same floats summed in the same order.
-pub fn embed_tokens_with(text: &str, mut token_into: impl FnMut(&str, &mut [f32])) -> Embedding {
-    let mut acc = vec![0.0f32; DIM];
-    let mut buf = [0.0f32; DIM];
-    for t in tokens(text) {
-        token_into(t, &mut buf);
-        for (a, b) in acc.iter_mut().zip(&buf) {
-            *a += b;
-        }
-    }
-    // No tokens leaves `acc` zero, which `normalize` leaves untouched.
-    normalize(&mut acc);
-    acc
 }
 
 /// Seed of the canonical shared embedder behind [`embed_query`]. One fixed

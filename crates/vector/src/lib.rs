@@ -12,8 +12,8 @@ mod index;
 mod sim;
 
 pub use embed::{
-    default_lexicon, embed_query, embed_tokens_with, fnv1a, normalize, seeded_unit_vector,
-    Embedding, Lexicon, TextEmbedder, DIM, QUERY_EMBED_SEED,
+    default_lexicon, embed_query, fnv1a, normalize, seeded_unit_vector, Embedding, Lexicon,
+    TextEmbedder, DIM, QUERY_EMBED_SEED,
 };
 pub use index::{FlatIndex, Hit, IvfIndex};
-pub use sim::{cosine, cosine_from_parts, dot, l2, l2_norm};
+pub use sim::{cosine, dot, l2};

@@ -8,13 +8,9 @@
 /// corrupt embedding can never outrank every real one. `-0.0` results are
 /// normalized to `0.0` so score ties break deterministically.
 pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    cosine_from_parts(dot(a, b), l2_norm(a), l2_norm(b))
-}
-
-/// [`cosine`] from a precomputed dot product and the two vectors'
-/// [`l2_norm`]s, bit-identical to `cosine(a, b)`. Comparing one vector
-/// against many, each norm is computed once instead of once per pair.
-pub fn cosine_from_parts(dot: f32, na: f32, nb: f32) -> f32 {
+    let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
+    let na: f32 = a.iter().map(|x| x * x).sum::<f32>().sqrt();
+    let nb: f32 = b.iter().map(|x| x * x).sum::<f32>().sqrt();
     if na == 0.0 || nb == 0.0 {
         return 0.0;
     }
@@ -27,11 +23,6 @@ pub fn cosine_from_parts(dot: f32, na: f32, nb: f32) -> f32 {
     } else {
         c
     }
-}
-
-/// Euclidean length.
-pub fn l2_norm(a: &[f32]) -> f32 {
-    a.iter().map(|x| x * x).sum::<f32>().sqrt()
 }
 
 /// Dot product.

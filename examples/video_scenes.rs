@@ -99,13 +99,12 @@ fn main() {
     // exciting and the pool splash mundane (§3).
     let llm = SimLlm::new(42, TokenMeter::new());
     let keywords = llm.generate_keywords("dangerous scenes that are uncommon in real life");
-    let mut scorer = llm.concept_scorer(&keywords);
     println!("== Concept scoring of the two scenes ==");
     for (desc, label) in [
         ("a man jumped off a plane", "plane_jump"),
         ("a dog fell into a pool", "dog_pool"),
     ] {
-        let score = scorer.score(desc);
+        let score = llm.concept_score(desc, &keywords);
         println!("{label:<12} \"{desc}\"  danger score = {score:.3}");
     }
     println!(
