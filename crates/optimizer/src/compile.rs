@@ -4,12 +4,13 @@
 
 use crate::coder::{synthesize, CoderContext, CoderFaults};
 use crate::rewrite::{rewrite_plan, RewriteEvent};
-use kath_exec::{execute_body, ExecContext, ExecError, PhysicalNode, PhysicalPlan};
+use kath_exec::{execute_body, id_from_uri, ExecContext, ExecError, PhysicalNode, PhysicalPlan};
 use kath_fao::{FunctionBody, FunctionRegistry, FunctionSignature, ProfileStats, VisionImpl};
 use kath_lineage::{LineagePolicy, LineageStore};
 use kath_model::Verdict;
 use kath_parser::{LogicalPlan, StepTag};
 use kath_storage::Table;
+use std::collections::HashSet;
 use std::time::Instant;
 
 /// Compiler options.
@@ -88,13 +89,24 @@ pub fn compile(
     clarifications: &[(String, String)],
     opts: &CompileOptions,
 ) -> Result<CompileReport, ExecError> {
+    let sample_ctx = build_sample_ctx(ctx, opts.sample_size);
+    compile_on(logical, sample_ctx, registry, clarifications, opts)
+}
+
+/// [`compile`] over a given profiling context (see [`build_sample_ctx`]).
+fn compile_on(
+    logical: &LogicalPlan,
+    mut sample_ctx: ExecContext,
+    registry: &mut FunctionRegistry,
+    clarifications: &[(String, String)],
+    opts: &CompileOptions,
+) -> Result<CompileReport, ExecError> {
     let (logical, rewrites) = if opts.rewrites {
         rewrite_plan(logical.clone(), true, true)
     } else {
         (logical.clone(), Vec::new())
     };
 
-    let mut sample_ctx = build_sample_ctx(ctx, opts.sample_size);
     let mut physical = PhysicalPlan::default();
     let mut critiques = Vec::new();
     let mut selections = Vec::new();
@@ -146,7 +158,7 @@ pub fn compile(
             clarifications,
             faults: opts.faults,
         };
-        let candidates = synthesize(node, &coder_ctx, &ctx.llm);
+        let candidates = synthesize(node, &coder_ctx, &sample_ctx.llm);
         assert!(!candidates.is_empty(), "coder produced no candidates");
 
         // Profile every candidate on a fork of the sample context.
@@ -267,7 +279,7 @@ pub fn compile(
                         Some((r[y].as_f64()?, r[s].as_f64()?))
                     })
                     .collect();
-                let verdict = ctx
+                let verdict = sample_ctx
                     .llm
                     .critique_monotonic("assign a recency score based on release year", &samples);
                 if let Verdict::Mismatch { hint } = verdict {
@@ -280,7 +292,7 @@ pub fn compile(
                             reversed_recency: false,
                         },
                     };
-                    let fixed = synthesize(node, &fixed_ctx, &ctx.llm);
+                    let fixed = synthesize(node, &fixed_ctx, &sample_ctx.llm);
                     let (fixed_body, _) = fixed.into_iter().next().expect("candidate");
                     let to_ver = registry.add_version(
                         &func_id,
@@ -354,20 +366,63 @@ fn agreement(reference: &Table, candidate: &Table) -> f64 {
     matches as f64 / reference.len() as f64
 }
 
-/// Builds the profiling context: sampled base tables, full media, fresh
-/// lineage with recording off.
+/// Builds the profiling context: sampled base tables, the media those
+/// samples reference, fresh lineage with recording off.
+///
+/// Media join their rows through the trailing id of their URI
+/// ([`id_from_uri`] against the `did`/`vid` columns), and view population
+/// handles each document and image on its own. So the sample keeps only
+/// the items whose id a sampled row names (a semi-join), and every sampled
+/// view row is the one the full registry would give: profiling costs
+/// O(`sample_size`), not O(corpus).
 fn build_sample_ctx(ctx: &ExecContext, sample_size: usize) -> ExecContext {
     let mut sample = ExecContext::new(ctx.llm.clone());
     sample.lineage = LineageStore::with_policy(LineagePolicy::Off);
-    sample.media = ctx.media.clone();
+    let mut dids = HashSet::new();
+    let mut vids = HashSet::new();
     for name in ctx.catalog.table_names() {
         if let Ok(table) = ctx.catalog.get(&name) {
             let mut t = table.sample(sample_size);
             t.set_name(&name);
+            collect_ids(&t, "did", &mut dids);
+            collect_ids(&t, "vid", &mut vids);
             sample.catalog.register_or_replace(t);
         }
     }
+    for doc in referenced(ctx.media.documents(), |d| &d.uri, &dids) {
+        sample.media.add_document(doc.clone());
+    }
+    for image in referenced(ctx.media.images(), |i| &i.uri, &vids) {
+        sample.media.add_image(image.clone());
+    }
     sample
+}
+
+/// Adds the integer values of `table`'s `column`, if it has one, to `ids`.
+fn collect_ids(table: &Table, column: &str, ids: &mut HashSet<i64>) {
+    if let Some(c) = table.schema().index_of(column) {
+        ids.extend(table.rows().iter().filter_map(|r| r[c].as_int()));
+    }
+}
+
+/// The media items whose URI id is in `ids`. If any URI of the modality has
+/// no id, view population numbers items by position instead, and only the
+/// whole modality reproduces those numbers, so every item is kept.
+fn referenced<'a, T>(
+    items: Vec<&'a T>,
+    uri: impl Fn(&T) -> &str,
+    ids: &HashSet<i64>,
+) -> Vec<&'a T> {
+    let keyed: Vec<(Option<i64>, &T)> = items
+        .into_iter()
+        .map(|i| (id_from_uri(uri(i)), i))
+        .collect();
+    let whole = keyed.iter().any(|(id, _)| id.is_none());
+    keyed
+        .into_iter()
+        .filter(|(id, _)| whole || id.is_some_and(|id| ids.contains(&id)))
+        .map(|(_, item)| item)
+        .collect()
 }
 
 /// Forks the sample context for one candidate profile run. The catalog is
@@ -587,8 +642,83 @@ mod tests {
             sample.catalog.get("movie_table").unwrap().name(),
             "movie_table"
         );
-        // Media still fully available for the view-population sample run.
-        assert_eq!(sample.media.counts().0, 3);
+        // Media are cut to the documents and images of the sampled did/vid
+        // values (1 and 2), so view population profiles the sample only.
+        assert_eq!(sample.media.counts(), (2, 2, 0));
+        assert!(sample.media.document("doc://plot/2").is_ok());
+        assert!(sample.media.document("doc://plot/3").is_err());
+        assert!(sample.media.image("file://posters/2.png").is_ok());
+        assert!(sample.media.image("file://posters/3.png").is_err());
+    }
+
+    /// What compile decided: the plan, selections, critiques, and every
+    /// version's body, note, profiled tokens and output rows.
+    fn decisions(
+        sample: ExecContext,
+        logical: &LogicalPlan,
+        clars: &[(String, String)],
+        opts: &CompileOptions,
+    ) -> String {
+        let mut registry = FunctionRegistry::new();
+        let report = compile_on(logical, sample, &mut registry, clars, opts).unwrap();
+        let mut out = format!("{:?}\n{:?}\n", report.physical, report.critiques);
+        for s in &report.selections {
+            out += &format!(
+                "{} {} {} {}\n",
+                s.func_id, s.chosen, s.candidates, s.accuracy
+            );
+        }
+        let mut names = registry.names();
+        names.sort_unstable();
+        for name in names {
+            let entry = registry.get(name).unwrap();
+            for v in &entry.versions {
+                let profile = v.profile.as_ref().map(|p| (p.tokens, p.rows_out));
+                out += &format!(
+                    "{name} {} {:?} {} {profile:?}\n",
+                    entry.active, v.body, v.note
+                );
+            }
+        }
+        out
+    }
+
+    /// Asserts compile decides the same on the sample context as on the
+    /// full-media reference: the same sampled tables with every document
+    /// and image, with and without the reversed-recency fault.
+    fn assert_matches_full_media(ctx: &ExecContext, sample_size: usize) {
+        let (logical, clars) = flagship_logical(ctx);
+        for reversed_recency in [false, true] {
+            let opts = CompileOptions {
+                sample_size,
+                faults: CoderFaults { reversed_recency },
+                ..CompileOptions::default()
+            };
+            let mut reference = build_sample_ctx(ctx, sample_size);
+            reference.media = ctx.media.clone();
+            assert_eq!(
+                decisions(build_sample_ctx(ctx, sample_size), &logical, &clars, &opts),
+                decisions(reference, &logical, &clars, &opts)
+            );
+        }
+    }
+
+    #[test]
+    fn sampled_media_decide_as_the_full_registry() {
+        assert_matches_full_media(&full_ctx(), 2);
+    }
+
+    #[test]
+    fn id_less_uris_keep_the_whole_modality() {
+        let mut ctx = full_ctx();
+        // No trailing id: view population numbers documents by position.
+        // This one sorts last, so it takes did 3, a sampled movie's.
+        ctx.media.add_document(Document::new(
+            "doc://plot/intro",
+            "A gun fight opens the festival. An explosion follows.",
+        ));
+        assert_eq!(build_sample_ctx(&ctx, 3).media.counts(), (3, 4, 0));
+        assert_matches_full_media(&ctx, 3);
     }
 
     #[test]
